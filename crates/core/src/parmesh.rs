@@ -57,8 +57,8 @@ use std::sync::{Arc, Mutex};
 use wmn_metrics::ProbeSeries;
 use wmn_sim::checkpoint::{self, ByteReader, ByteWriter, CheckpointError};
 use wmn_sim::shard::{
-    CheckpointState, CrashPlan, Lookahead, RegionCtx, RegionId, RegionWorld, ShardedEngine,
-    SupervisorConfig, SupervisorReport,
+    CheckpointState, CrashPlan, Lookahead, RegionCtx, RegionId, RegionWorld, ShardProbe,
+    ShardedEngine, SupervisorConfig, SupervisorReport,
 };
 use wmn_sim::{SimDuration, SimRng, SimTime};
 use wmn_telemetry::{
@@ -1348,11 +1348,10 @@ fn run_parmesh(cfg: &ParMesh) -> Result<ParMeshOutcome, CheckpointError> {
         }
     }
 
-    let mut profile = None;
-    let mut supervisor = None;
-    let (report, worlds) = if cfg.supervised() {
-        // Robustness path: resume from the newest checkpoint if asked, then
-        // run under the crash-tolerant supervisor.
+    // Robustness features configure the supervisor; without any, the
+    // default config makes the same engine call a plain run.
+    let scfg = if cfg.supervised() {
+        // Resume from the newest checkpoint if asked.
         let scenario = cfg.scenario_fingerprint();
         if cfg.resume {
             let dir = cfg.checkpoint_dir.as_ref().ok_or_else(|| {
@@ -1369,7 +1368,7 @@ fn run_parmesh(cfg: &ParMesh) -> Result<ParMeshOutcome, CheckpointError> {
             }
             // No checkpoints yet: start fresh (first leg of a resumable run).
         }
-        let scfg = SupervisorConfig {
+        SupervisorConfig {
             scenario,
             checkpoint_dir: cfg.checkpoint_dir.clone(),
             checkpoint_every: cfg.checkpoint_every.or_else(|| {
@@ -1379,25 +1378,15 @@ fn run_parmesh(cfg: &ParMesh) -> Result<ParMeshOutcome, CheckpointError> {
             }),
             crash_plan: cfg.crash_plan.clone(),
             interrupt: cfg.interrupt.clone(),
-        };
-        let (report, worlds, sup) = if cfg.profile {
-            let mut profiler = ShardProfiler::new(cfg.threads);
-            let out = engine.run_supervised(cfg.threads, Some(&mut profiler), &scfg)?;
-            profile = Some(profiler.finish());
-            out
-        } else {
-            engine.run_supervised(cfg.threads, None, &scfg)?
-        };
-        supervisor = Some(sup);
-        (report, worlds)
-    } else if cfg.profile {
-        let mut profiler = ShardProfiler::new(cfg.threads);
-        let out = engine.run_probed(cfg.threads, Some(&mut profiler));
-        profile = Some(profiler.finish());
-        out
+        }
     } else {
-        engine.run(cfg.threads)
+        SupervisorConfig::default()
     };
+    let mut profiler = cfg.profile.then(|| ShardProfiler::new(cfg.threads));
+    let probe = profiler.as_mut().map(|p| p as &mut dyn ShardProbe);
+    let (report, worlds, sup) = engine.run_supervised(cfg.threads, probe, &scfg)?;
+    let profile = profiler.map(ShardProfiler::finish);
+    let supervisor = cfg.supervised().then_some(sup);
 
     // --- aggregate ---
     let mut agg = ParMeshReport {

@@ -482,9 +482,11 @@ fn handle_connection(core: &Arc<Core>, stream: UnixStream) -> std::io::Result<()
                 )?;
             }
             Ok(Request::Shutdown) => {
-                writeln!(writer, "{{\"ok\":true,\"draining\":true}}")?;
+                // Acknowledge only after the state change, so a client
+                // that has read the ack always observes the drain.
                 core.shutdown.store(true, Ordering::SeqCst);
                 core.begin_drain();
+                writeln!(writer, "{{\"ok\":true,\"draining\":true}}")?;
             }
             Ok(Request::Run {
                 spec,

@@ -50,6 +50,14 @@
 //! scheduler state, so a resume may change both the worker count and the
 //! steal setting freely.
 //!
+//! Plain ([`ShardedEngine::run`], [`ShardedEngine::run_probed`]) and
+//! supervised ([`ShardedEngine::run_supervised`]) runs share one epoch
+//! loop. Supervision — checkpoints, crash injection, rollback — is a policy
+//! the loop consults at each barrier and on window panics; for plain runs
+//! it is a no-op. Every window runs under `catch_unwind`, so a panicking
+//! window on a pool thread still returns its slot and the panic is
+//! re-raised on the calling thread.
+//!
 //! The conservative invariant — no cross-region event may arrive below the
 //! timestamp its destination has already committed — is enforced at
 //! runtime: [`RegionCtx::send`] panics when a world under-declares its
@@ -126,13 +134,7 @@ impl Lookahead {
             n == 1 || delta > SimDuration::ZERO,
             "zero lookahead cannot make progress with more than one region"
         );
-        let matrix = vec![delta; n * n];
-        let closed = close_over(n, &matrix);
-        Lookahead {
-            n,
-            delta: matrix,
-            closed,
-        }
+        Self::from_fn(n, |_, _| delta)
     }
 
     /// Build from a per-pair function (e.g. turnaround floor plus
@@ -356,7 +358,7 @@ pub trait ShardProbe {
     /// post-steal load balance — the busiest worker's measured window time
     /// over the mean across the pool, ×1000. Both are wall-clock-derived
     /// and must never enter a simulation fingerprint. Fires after the
-    /// epoch's windows complete, before [`epoch_end`](ShardProbe::epoch_end).
+    /// epoch's window samples, before [`epoch_end`](ShardProbe::epoch_end).
     fn steal(&mut self, _epoch: u64, _moved: u64, _imbalance_milli: u64) {}
     /// Serialize accumulated observer state into a checkpoint (default:
     /// nothing). A probe that wants its profile to survive a kill-and-resume
@@ -371,9 +373,17 @@ pub trait ShardProbe {
     }
 }
 
-/// Pre-epoch snapshots needed to compute per-window deltas for a probe.
+/// One epoch's plan (reused across epochs): the active regions and every
+/// region's safe horizon, plus the pre-epoch snapshots needed to compute
+/// per-window deltas for a probe.
 #[derive(Default)]
 struct EpochScratch {
+    /// Active region indices, ascending.
+    jobs: Vec<usize>,
+    /// Each region's safe horizon.
+    safe: Vec<SimTime>,
+    /// Each region's next pending event time.
+    peeks: Vec<Option<SimTime>>,
     processed: Vec<u64>,
     queue: Vec<u64>,
     committed: Vec<u64>,
@@ -490,72 +500,6 @@ impl CrashPlan {
     }
 }
 
-/// Mutable crash-decision state, owned by the coordinator and deliberately
-/// outside the rollback scope.
-struct CrashState {
-    scripted: Vec<(u64, RegionId)>,
-    stochastic: Option<(f64, SimRng, u32)>,
-}
-
-impl CrashState {
-    fn new(plan: &CrashPlan) -> Self {
-        CrashState {
-            scripted: plan.scripted.clone(),
-            stochastic: plan
-                .stochastic
-                .map(|s| (s.rate, SimRng::new(s.seed), s.max)),
-        }
-    }
-
-    /// Decide whether to kill `region`'s window in `epoch`. Consumes the
-    /// matching scripted entry / stochastic budget so it cannot re-fire on
-    /// replay.
-    fn decide(&mut self, epoch: u64, region: RegionId) -> bool {
-        if let Some(pos) = self
-            .scripted
-            .iter()
-            .position(|&(e, r)| e == epoch && r == region)
-        {
-            self.scripted.remove(pos);
-            return true;
-        }
-        if let Some((rate, rng, remaining)) = &mut self.stochastic {
-            if *remaining > 0 && rng.chance(*rate) {
-                *remaining -= 1;
-                return true;
-            }
-        }
-        false
-    }
-}
-
-/// How a worker panic should be handled.
-enum PanicClass {
-    /// A [`CrashPlan`] injection: recover by rollback + replay.
-    Injected,
-    /// A conservative-invariant or lookahead violation: the simulation
-    /// state cannot be trusted; abort loudly.
-    Invariant,
-    /// Anything else: a genuine bug; abort loudly.
-    Unknown,
-}
-
-fn classify_panic(payload: &(dyn std::any::Any + Send)) -> PanicClass {
-    if payload.is::<InjectedCrash>() {
-        return PanicClass::Injected;
-    }
-    let msg = payload
-        .downcast_ref::<&'static str>()
-        .copied()
-        .or_else(|| payload.downcast_ref::<String>().map(String::as_str));
-    if let Some(m) = msg {
-        if m.contains("lookahead violation") || m.contains("conservative invariant") {
-            return PanicClass::Invariant;
-        }
-    }
-    PanicClass::Unknown
-}
-
 /// Silence the default panic printer for [`InjectedCrash`] payloads — they
 /// are expected, caught, and recovered; their backtraces are pure noise.
 /// All other panics keep the previous hook. Installed at most once.
@@ -622,91 +566,69 @@ struct Slot<W: RegionWorld> {
     last_busy_ns: u64,
 }
 
-impl<W: RegionWorld> Slot<W> {
-    /// Process every pending event strictly below `window_end` (and at or
-    /// below the run horizon), then commit the window. `timed` records the
-    /// window's wall-clock cost into `last_busy_ns` (profiling only — it
-    /// cannot affect event execution).
-    fn run_window(
-        &mut self,
-        window_end: SimTime,
-        horizon: SimTime,
-        lookahead: &Lookahead,
-        timed: bool,
-    ) {
-        let t0 = timed.then(Instant::now);
-        while let Some(t) = self.queue.peek_time() {
-            if t >= window_end || t > horizon {
-                break;
-            }
-            let (now, event) = self.queue.pop().expect("peeked event vanished");
-            self.processed += 1;
-            let mut ctx = RegionCtx {
-                now,
-                region: self.region,
-                queue: &mut self.queue,
-                outbox: &mut self.outbox,
-                lookahead,
-                horizon,
-                stopped: &mut self.stopped,
-            };
-            self.world.handle(event, &mut ctx);
-        }
-        // The window is committed even when it held no events: adjacent
-        // regions may have advanced on the promise that nothing older will
-        // appear here.
-        self.committed = self.committed.max(window_end);
-        if let Some(t0) = t0 {
-            self.last_busy_ns = t0.elapsed().as_nanos() as u64;
-        }
-    }
-
-    /// [`run_window`](Slot::run_window), but when `crash` carries an epoch,
-    /// process at most one event and then die with an [`InjectedCrash`]
-    /// panic — deliberately leaving partially-mutated, uncommitted state,
-    /// the worst case the supervisor's rollback must handle.
-    fn run_window_crashing(
-        &mut self,
-        window_end: SimTime,
-        horizon: SimTime,
-        lookahead: &Lookahead,
-        timed: bool,
-        crash: Option<u64>,
-    ) {
-        let Some(epoch) = crash else {
-            return self.run_window(window_end, horizon, lookahead, timed);
-        };
-        if let Some(t) = self.queue.peek_time() {
-            if t < window_end && t <= horizon {
-                let (now, event) = self.queue.pop().expect("peeked event vanished");
-                self.processed += 1;
-                let mut ctx = RegionCtx {
-                    now,
-                    region: self.region,
-                    queue: &mut self.queue,
-                    outbox: &mut self.outbox,
-                    lookahead,
-                    horizon,
-                    stopped: &mut self.stopped,
-                };
-                self.world.handle(event, &mut ctx);
-            }
-        }
-        std::panic::panic_any(InjectedCrash {
-            epoch,
-            region: self.region,
-        });
-    }
-}
-
-/// A job shipped to a worker for one epoch: the region slot plus its safe
-/// window end.
+/// A job shipped to a worker for one epoch: the region slot, its safe
+/// window end, and the coordinator's injected-crash decision.
 struct Job<W: RegionWorld> {
-    index: usize,
     slot: Box<Slot<W>>,
     window_end: SimTime,
+    /// Record the window's wall-clock cost into the slot's `last_busy_ns`
+    /// (profiling and stealing only — it cannot affect event execution).
     timed: bool,
+    crash: Option<u64>,
 }
+
+impl<W: RegionWorld> Job<W> {
+    /// The window runner: process every pending event strictly below
+    /// `window_end` (and at or below the run horizon), then commit the
+    /// window. When `crash` carries an epoch, stop after one event and die
+    /// with an [`InjectedCrash`] panic instead — deliberately leaving
+    /// partially-mutated, uncommitted state, the worst case the
+    /// supervisor's rollback must handle. Any panic is caught and returned,
+    /// so the slot always comes back to the coordinator, which decides what
+    /// the panic means.
+    fn run(&mut self, horizon: SimTime, lookahead: &Lookahead) -> Option<PanicPayload> {
+        let t0 = self.timed.then(Instant::now);
+        let (slot, window_end, crash) = (&mut *self.slot, self.window_end, self.crash);
+        catch_unwind(AssertUnwindSafe(|| {
+            while let Some(t) = slot.queue.peek_time() {
+                if t >= window_end || t > horizon {
+                    break;
+                }
+                let (now, event) = slot.queue.pop().expect("peeked event vanished");
+                slot.processed += 1;
+                let mut ctx = RegionCtx {
+                    now,
+                    region: slot.region,
+                    queue: &mut slot.queue,
+                    outbox: &mut slot.outbox,
+                    lookahead,
+                    horizon,
+                    stopped: &mut slot.stopped,
+                };
+                slot.world.handle(event, &mut ctx);
+                if crash.is_some() {
+                    break;
+                }
+            }
+            if let Some(epoch) = crash {
+                std::panic::panic_any(InjectedCrash {
+                    epoch,
+                    region: slot.region,
+                });
+            }
+            // The window is committed even when it held no events: adjacent
+            // regions may have advanced on the promise that nothing older
+            // will appear here.
+            slot.committed = slot.committed.max(window_end);
+            if let Some(t0) = t0 {
+                slot.last_busy_ns = t0.elapsed().as_nanos() as u64;
+            }
+        }))
+        .err()
+    }
+}
+
+type PanicPayload = Box<dyn std::any::Any + Send + 'static>;
 
 /// Coordinator-side dynamic region→worker packer (work stealing by
 /// deficit re-chunking at the barrier).
@@ -829,9 +751,10 @@ pub struct ShardedEngine<W: RegionWorld> {
     /// Reused merge batch so the epoch barrier stops allocating once the
     /// cross-region rate stabilizes.
     merge_buf: Vec<(SimTime, RegionId, u32, RegionId, W::Event)>,
-    /// Counters restored by [`ShardedEngine::restore`]; zero on a fresh run.
-    resume_epochs: u64,
-    resume_cross: u64,
+    /// Epochs run and cross-region events merged so far (restored by
+    /// [`ShardedEngine::restore`]; zero on a fresh run).
+    epochs: u64,
+    cross_region: u64,
     /// Probe bytes restored from a checkpoint, handed to the probe when
     /// [`run_supervised`](ShardedEngine::run_supervised) starts.
     resume_probe: Vec<u8>,
@@ -872,8 +795,8 @@ impl<W: RegionWorld> ShardedEngine<W> {
             event_budget: u64::MAX,
             steal: false,
             merge_buf: Vec::new(),
-            resume_epochs: 0,
-            resume_cross: 0,
+            epochs: 0,
+            cross_region: 0,
             resume_probe: Vec::new(),
             resume_from: None,
         }
@@ -902,20 +825,12 @@ impl<W: RegionWorld> ShardedEngine<W> {
     /// (capacity pre-sizing from a scenario's flow/churn plans, so the
     /// steady state never reallocates mid-window).
     pub fn reserve_region(&mut self, region: RegionId, additional: usize) {
-        self.slots[region as usize]
-            .as_mut()
-            .expect("slot present between epochs")
-            .queue
-            .reserve(additional);
+        self.slot_mut(region as usize).queue.reserve(additional);
     }
 
     /// Schedule an initial event in `region` before the run starts.
     pub fn prime(&mut self, region: RegionId, time: SimTime, event: W::Event) {
-        self.slots[region as usize]
-            .as_mut()
-            .expect("slot present between epochs")
-            .queue
-            .schedule(time, event);
+        self.slot_mut(region as usize).queue.schedule(time, event);
     }
 
     fn slot(&self, i: usize) -> &Slot<W> {
@@ -924,53 +839,17 @@ impl<W: RegionWorld> ShardedEngine<W> {
             .expect("slot present between epochs")
     }
 
-    /// Compute every region's safe horizon from current queue states.
-    /// Region `i` may process events strictly below
-    /// `min_j (T_j + D(j → i))` over **non-idle** regions `j`, where `D`
-    /// is the shortest-path influence closure — including `j = i`, whose
-    /// pending events can cascade back through other regions (minimum
-    /// cycle). An idle region constrains nobody: any future activity there
-    /// descends from some region's currently pending event, which the
-    /// closure already accounts for.
-    ///
-    /// When `sources` is given (profiling), it is filled with the argmin
-    /// region `j` that bound each horizon — which pending event the barrier
-    /// is waiting on (`-1` when unbounded). Ties break to the lowest `j`,
-    /// so attribution is deterministic.
-    fn compute_safe_horizons(&self, out: &mut Vec<SimTime>, mut sources: Option<&mut Vec<i64>>) {
-        let n = self.slots.len();
-        out.clear();
-        if let Some(s) = sources.as_deref_mut() {
-            s.clear();
-        }
-        if n == 1 {
-            out.push(SimTime::MAX);
-            if let Some(s) = sources {
-                s.push(-1);
-            }
-            return;
-        }
-        let peeks: Vec<Option<SimTime>> = (0..n).map(|i| self.slot(i).queue.peek_time()).collect();
-        for i in 0..n {
-            let mut h = SimTime::MAX;
-            let mut src = -1i64;
-            for (j, peek) in peeks.iter().enumerate() {
-                let Some(t) = peek else { continue };
-                let d = self.lookahead.influence(j as RegionId, i as RegionId);
-                if d == NEVER {
-                    continue;
-                }
-                let bound = t.saturating_add(d);
-                if bound < h {
-                    h = bound;
-                    src = j as i64;
-                }
-            }
-            out.push(h);
-            if let Some(s) = sources.as_deref_mut() {
-                s.push(src);
-            }
-        }
+    fn slot_mut(&mut self, i: usize) -> &mut Slot<W> {
+        self.slots[i]
+            .as_deref_mut()
+            .expect("slot present between epochs")
+    }
+
+    /// Every region's slot, in region order (between epochs only).
+    fn slots(&self) -> impl Iterator<Item = &Slot<W>> {
+        self.slots
+            .iter()
+            .map(|s| s.as_deref().expect("slot present between epochs"))
     }
 
     /// Merge every region's outbox into the destination queues in
@@ -985,22 +864,16 @@ impl<W: RegionWorld> ShardedEngine<W> {
         let mut batch = std::mem::take(&mut self.merge_buf);
         debug_assert!(batch.is_empty());
         for i in 0..self.slots.len() {
-            let slot = self.slots[i].as_mut().expect("slot present between epochs");
+            let slot = self.slot_mut(i);
             let region = slot.region;
             for (seq, out) in slot.outbox.drain(..).enumerate() {
                 batch.push((out.time, region, seq as u32, out.dst, out.event));
             }
         }
-        if batch.is_empty() {
-            self.merge_buf = batch;
-            return 0;
-        }
         batch.sort_unstable_by_key(|(t, src, seq, _, _)| (*t, *src, *seq));
         let n = batch.len() as u64;
         for (time, src, _, dst, event) in batch.drain(..) {
-            let slot = self.slots[dst as usize]
-                .as_mut()
-                .expect("slot present between epochs");
+            let slot = self.slot_mut(dst as usize);
             assert!(
                 time >= slot.committed,
                 "conservative invariant violated: region {src} delivered an event at {time:?} \
@@ -1013,46 +886,77 @@ impl<W: RegionWorld> ShardedEngine<W> {
         n
     }
 
+    /// Global minimum pending-event time across regions (the next barrier's
+    /// cut position; `None` when every queue is empty).
+    fn min_peek(&self) -> Option<SimTime> {
+        self.slots().filter_map(|s| s.queue.peek_time()).min()
+    }
+
+    fn total_processed(&self) -> u64 {
+        self.slots().map(|s| s.processed).sum()
+    }
+
     /// One epoch preamble: decide whether to continue and which regions are
-    /// active. Fills `safe` with per-region safe horizons and `jobs` with
-    /// the active region indices; returns `Err(reason)` when the run is
-    /// over.
-    fn epoch_plan(
-        &self,
-        safe: &mut Vec<SimTime>,
-        jobs: &mut Vec<usize>,
-        sources: Option<&mut Vec<i64>>,
-    ) -> Result<(), ShardStopReason> {
-        if (0..self.slots.len()).any(|i| self.slot(i).stopped) {
+    /// active. Returns `Err(reason)` when the run is over; otherwise fills
+    /// `s.safe` with every region's safe horizon, `s.sources` with the
+    /// region that bound it, and `s.jobs` with the active region indices.
+    ///
+    /// Region `i` may process events strictly below
+    /// `min_j (T_j + D(j → i))` over **non-idle** regions `j`, where `D`
+    /// is the shortest-path influence closure — including `j = i`, whose
+    /// pending events can cascade back through other regions (minimum
+    /// cycle). An idle region constrains nobody: any future activity there
+    /// descends from some region's currently pending event, which the
+    /// closure already accounts for.
+    ///
+    /// `s.sources[i]` is the argmin region `j` that bound horizon `i` —
+    /// which pending event the barrier is waiting on (`-1` when unbounded).
+    /// Ties break to the lowest `j`, so attribution is deterministic.
+    fn epoch_plan(&self, s: &mut EpochScratch) -> Result<(), ShardStopReason> {
+        if self.slots().any(|slot| slot.stopped) {
             return Err(ShardStopReason::Stopped);
         }
-        let processed: u64 = (0..self.slots.len()).map(|i| self.slot(i).processed).sum();
-        if processed >= self.event_budget {
+        if self.total_processed() >= self.event_budget {
             return Err(ShardStopReason::EventBudget);
         }
-        let Some(t_min) = (0..self.slots.len())
-            .filter_map(|i| self.slot(i).queue.peek_time())
-            .min()
-        else {
+        s.peeks.clear();
+        s.peeks
+            .extend(self.slots().map(|slot| slot.queue.peek_time()));
+        let Some(&t_min) = s.peeks.iter().flatten().min() else {
             return Err(ShardStopReason::QueueEmpty);
         };
         if t_min > self.horizon {
             return Err(ShardStopReason::HorizonReached);
         }
-        self.compute_safe_horizons(safe, sources);
-        jobs.clear();
-        for (i, &safe_i) in safe.iter().enumerate().take(self.slots.len()) {
-            if let Some(t) = self.slot(i).queue.peek_time() {
-                if t < safe_i && t <= self.horizon {
-                    jobs.push(i);
+        s.safe.clear();
+        s.sources.clear();
+        s.jobs.clear();
+        for (i, &peek) in s.peeks.iter().enumerate() {
+            let mut h = SimTime::MAX;
+            let mut src = -1i64;
+            for (j, t) in s.peeks.iter().enumerate() {
+                let Some(t) = t else { continue };
+                let d = self.lookahead.influence(j as RegionId, i as RegionId);
+                if d == NEVER {
+                    continue;
                 }
+                let bound = t.saturating_add(d);
+                if bound < h {
+                    h = bound;
+                    src = j as i64;
+                }
+            }
+            s.safe.push(h);
+            s.sources.push(src);
+            if peek.is_some_and(|t| t < h && t <= self.horizon) {
+                s.jobs.push(i);
             }
         }
         // Progress is guaranteed: the region holding t_min has
         // H = min_j(T_j + δ) > t_min because every T_j ≥ t_min and every
         // finite δ is positive, so it is always active.
         debug_assert!(
-            !jobs.is_empty(),
+            !s.jobs.is_empty(),
             "conservative stall: global min {t_min:?} but no region is active"
         );
         Ok(())
@@ -1064,8 +968,7 @@ impl<W: RegionWorld> ShardedEngine<W> {
         s.processed.clear();
         s.queue.clear();
         s.committed.clear();
-        for i in 0..self.slots.len() {
-            let slot = self.slot(i);
+        for slot in self.slots() {
             s.processed.push(slot.processed);
             s.queue.push(slot.queue.len() as u64);
             s.committed.push(slot.committed.as_nanos());
@@ -1074,18 +977,9 @@ impl<W: RegionWorld> ShardedEngine<W> {
 
     /// Deliver one [`WindowSample`] per region (ascending) for the epoch
     /// just executed. Must run before the merge drains the outboxes.
-    fn emit_window_samples(
-        &self,
-        probe: &mut dyn ShardProbe,
-        s: &EpochScratch,
-        safe: &[SimTime],
-        jobs: &[usize],
-        epoch: u64,
-    ) {
-        for (i, &window_end) in safe.iter().enumerate().take(self.slots.len()) {
-            let slot = self.slot(i);
-            // `jobs` is built by an ascending scan, so it is sorted.
-            let active = jobs.binary_search(&i).is_ok();
+    fn emit_window_samples(&self, probe: &mut dyn ShardProbe, s: &EpochScratch, epoch: u64) {
+        for (i, (slot, &window_end)) in self.slots().zip(&s.safe).enumerate() {
+            let active = s.jobs.binary_search(&i).is_ok();
             probe.window(&WindowSample {
                 epoch,
                 region: i as RegionId,
@@ -1109,171 +1003,179 @@ impl<W: RegionWorld> ShardedEngine<W> {
 
     /// [`run`](ShardedEngine::run) with an optional execution profiler.
     ///
-    /// With `None` this is exactly `run` — no timing calls, no extra
-    /// branches beyond one `Option` check per epoch. With a probe, windows
-    /// are timed and per-epoch samples are delivered on the coordinator
-    /// thread; simulation results are identical either way (the probe only
-    /// observes slots between epochs).
+    /// With `None` no window or epoch is timed. With a probe, windows are
+    /// timed and per-epoch samples are delivered on the coordinator thread;
+    /// simulation results are identical either way (the probe only observes
+    /// slots between epochs).
     pub fn run_probed(
+        self,
+        threads: usize,
+        probe: Option<&mut dyn ShardProbe>,
+    ) -> (ShardRunReport, Vec<W>) {
+        self.run_epochs(threads, probe, &mut Unsupervised)
+            .expect("unsupervised runs never touch checkpoints")
+    }
+
+    /// The one epoch loop behind every run flavour. Everything
+    /// supervision-specific — barrier stops, crash injection, panic
+    /// recovery — is delegated to `policy`; with [`Unsupervised`] every hook
+    /// is a no-op the compiler removes.
+    fn run_epochs<P: Supervision<W>>(
         mut self,
         threads: usize,
         mut probe: Option<&mut dyn ShardProbe>,
-    ) -> (ShardRunReport, Vec<W>) {
+        policy: &mut P,
+    ) -> Result<(ShardRunReport, Vec<W>), CheckpointError> {
         assert!(threads >= 1, "at least one thread");
         let workers = threads.min(self.slots.len());
-        let t_run = Instant::now();
-        let mut epochs = 0u64;
-        let mut cross_region = 0u64;
-        let mut safe: Vec<SimTime> = Vec::with_capacity(self.slots.len());
-        let mut jobs: Vec<usize> = Vec::with_capacity(self.slots.len());
+        let t_run = probe.is_some().then(Instant::now);
+        // Epochs at or below this were already observed (before a rollback,
+        // or by the run that wrote the resumed checkpoint); probe callbacks
+        // for them are suppressed, so observers see each epoch exactly once.
+        let mut max_emitted = self.epochs;
         let mut scratch = EpochScratch::default();
+        let mut panics: Vec<PanicPayload> = Vec::new();
+        let horizon = self.horizon;
+        // Shared by every worker (the engine itself is borrowed by the
+        // coordinator for the whole run).
+        let lookahead = &self.lookahead.clone();
+        // Planner state is wall-clock-only and deliberately not part of any
+        // anchor or checkpoint: rollback, replay and resume all start from
+        // whatever (possibly cold, possibly stale) predictions are at hand —
+        // any schedule is equally correct.
+        let stealing = self.steal && workers > 1;
+        let mut planner = stealing.then(|| StealPlanner::new(self.slots.len(), workers));
 
-        let reason = if workers <= 1 {
-            loop {
-                let sources = probe.is_some().then_some(&mut scratch.sources);
-                if let Err(reason) = self.epoch_plan(&mut safe, &mut jobs, sources) {
-                    break reason;
-                }
-                let timed = probe.is_some();
-                let t_epoch = timed.then(Instant::now);
-                if timed {
-                    self.snapshot_pre_epoch(&mut scratch);
-                }
-                epochs += 1;
-                for &i in &jobs {
-                    let mut slot = self.slots[i].take().expect("slot present");
-                    slot.run_window(safe[i], self.horizon, &self.lookahead, timed);
-                    self.slots[i] = Some(slot);
-                }
-                if let Some(p) = probe.as_deref_mut() {
-                    self.emit_window_samples(p, &scratch, &safe, &jobs, epochs);
-                }
-                let t_merge = timed.then(Instant::now);
-                let merged = self.merge_outboxes();
-                cross_region += merged;
-                if let Some(p) = probe.as_deref_mut() {
-                    let merge_ns = t_merge.expect("timed").elapsed().as_nanos() as u64;
-                    let wall_ns = t_epoch.expect("timed").elapsed().as_nanos() as u64;
-                    p.epoch_end(epochs, wall_ns, merged, merge_ns);
-                }
-            }
-        } else {
+        let reason = std::thread::scope(|scope| -> Result<ShardStopReason, CheckpointError> {
             // Persistent pool: each epoch ships the active slots over
             // channels and collects them all back — the channel round-trip
             // is the barrier. Which thread runs a window cannot influence
             // results: a window touches only its own slot. Assignment is
             // static (`region % workers`, so per-region state tends to stay
             // in one worker's cache) unless stealing re-packs regions from
-            // the previous epoch's measured busy times.
-            let stealing = self.steal;
-            let mut planner = stealing.then(|| StealPlanner::new(self.slots.len(), workers));
-            let horizon = self.horizon;
-            let lookahead = self.lookahead.clone();
-            std::thread::scope(|scope| {
-                let (done_tx, done_rx) = mpsc::channel::<Job<W>>();
-                let mut work_txs: Vec<mpsc::Sender<Job<W>>> = Vec::with_capacity(workers);
-                for _ in 0..workers {
+            // the previous epoch's measured busy times. A panicking window
+            // still returns its slot, so the coordinator never waits on a
+            // dead worker.
+            let (done_tx, done_rx) = mpsc::channel::<(Job<W>, Option<PanicPayload>)>();
+            let pool = if workers > 1 { workers } else { 0 };
+            let work_txs: Vec<mpsc::Sender<Job<W>>> = (0..pool)
+                .map(|_| {
                     let (tx, rx) = mpsc::channel::<Job<W>>();
                     let done = done_tx.clone();
-                    let lookahead = lookahead.clone();
-                    work_txs.push(tx);
                     scope.spawn(move || {
                         while let Ok(mut job) = rx.recv() {
-                            job.slot
-                                .run_window(job.window_end, horizon, &lookahead, job.timed);
-                            if done.send(job).is_err() {
+                            let panic = job.run(horizon, lookahead);
+                            if done.send((job, panic)).is_err() {
                                 break;
                             }
                         }
                     });
+                    tx
+                })
+                .collect();
+            drop(done_tx);
+            loop {
+                // Barrier: outboxes drained, no slot checked out — a
+                // globally consistent cut.
+                if let Some(reason) = policy.at_barrier(&self, probe.as_deref())? {
+                    break Ok(reason);
                 }
-                drop(done_tx);
-                loop {
-                    let sources = probe.is_some().then_some(&mut scratch.sources);
-                    if let Err(reason) = self.epoch_plan(&mut safe, &mut jobs, sources) {
-                        break reason;
-                    }
-                    // Stealing needs window timings even without a probe —
-                    // they are next epoch's cost predictions.
-                    let timed = probe.is_some() || stealing;
-                    let t_epoch = probe.is_some().then(Instant::now);
-                    if probe.is_some() {
-                        self.snapshot_pre_epoch(&mut scratch);
-                    }
-                    epochs += 1;
-                    if jobs.len() == 1 {
-                        // A serial epoch: skip the pool round-trip.
-                        let i = jobs[0];
-                        let mut slot = self.slots[i].take().expect("slot present");
-                        slot.run_window(safe[i], horizon, &lookahead, timed);
-                        self.slots[i] = Some(slot);
-                        if let Some(pl) = planner.as_mut() {
-                            pl.observe(i, self.slot(i).last_busy_ns);
-                        }
+                let will_emit = probe.is_some() && self.epochs >= max_emitted;
+                if let Err(reason) = self.epoch_plan(&mut scratch) {
+                    break Ok(reason);
+                }
+                // Stealing needs window timings even without a probe —
+                // they are next epoch's cost predictions.
+                let timed = will_emit || stealing;
+                let t_epoch = will_emit.then(Instant::now);
+                if will_emit {
+                    self.snapshot_pre_epoch(&mut scratch);
+                }
+                self.epochs += 1;
+                let epoch = self.epochs;
+                // A serial epoch (or serial engine) skips the pool round-trip.
+                let jobs = &scratch.jobs;
+                let serial = workers <= 1 || jobs.len() == 1;
+                // `Some(moved)` when the planner packed this epoch.
+                let steal_moved = match planner.as_mut() {
+                    Some(pl) if !serial => Some(pl.plan(jobs)),
+                    _ => None,
+                };
+                let mut in_flight = 0;
+                // Crash decisions are made here, on the coordinator, in
+                // ascending region order — identical for every worker count.
+                for (k, &i) in jobs.iter().enumerate() {
+                    let mut job = Job {
+                        slot: self.slots[i].take().expect("slot present"),
+                        window_end: scratch.safe[i],
+                        timed,
+                        crash: policy.crash(epoch, i as RegionId).then_some(epoch),
+                    };
+                    if serial {
+                        panics.extend(job.run(horizon, lookahead));
+                        self.slots[i] = Some(job.slot);
                     } else {
-                        let moved = planner.as_mut().map(|pl| pl.plan(&jobs));
-                        for (k, &i) in jobs.iter().enumerate() {
-                            let slot = self.slots[i].take().expect("slot present");
-                            let job = Job {
-                                index: i,
-                                slot,
-                                window_end: safe[i],
-                                timed,
-                            };
-                            let w = match planner.as_ref() {
-                                Some(pl) => pl.assignment[k] as usize,
-                                None => i % workers,
-                            };
-                            work_txs[w]
-                                .send(job)
-                                .expect("worker alive for the whole run");
-                        }
-                        for _ in 0..jobs.len() {
-                            let job = done_rx.recv().expect("worker returned its slot");
-                            self.slots[job.index] = Some(job.slot);
-                        }
-                        if let Some(pl) = planner.as_mut() {
-                            for &i in &jobs {
-                                pl.observe(i, self.slot(i).last_busy_ns);
-                            }
-                            if let Some(p) = probe.as_deref_mut() {
-                                let imb = pl.measured_imbalance_milli(&jobs);
-                                p.steal(epochs, moved.unwrap_or(0), imb);
-                            }
-                        }
-                    }
-                    if let Some(p) = probe.as_deref_mut() {
-                        self.emit_window_samples(p, &scratch, &safe, &jobs, epochs);
-                    }
-                    let t_merge = timed.then(Instant::now);
-                    let merged = self.merge_outboxes();
-                    cross_region += merged;
-                    if let Some(p) = probe.as_deref_mut() {
-                        let merge_ns = t_merge.expect("timed").elapsed().as_nanos() as u64;
-                        let wall_ns = t_epoch.expect("timed").elapsed().as_nanos() as u64;
-                        p.epoch_end(epochs, wall_ns, merged, merge_ns);
+                        let w = planner
+                            .as_ref()
+                            .map_or(i % workers, |pl| pl.assignment[k] as usize);
+                        work_txs[w]
+                            .send(job)
+                            .expect("worker alive for the whole run");
+                        in_flight += 1;
                     }
                 }
-            })
-        };
+                for _ in 0..in_flight {
+                    let (job, panic) = done_rx.recv().expect("worker returned its slot");
+                    let i = job.slot.region as usize;
+                    self.slots[i] = Some(job.slot);
+                    panics.extend(panic);
+                }
+                if let Some(pl) = planner.as_mut() {
+                    for &i in jobs {
+                        pl.observe(i, self.slot(i).last_busy_ns);
+                    }
+                }
+                if !panics.is_empty() {
+                    policy.recover(&mut self, &mut panics)?;
+                    continue;
+                }
+                if will_emit {
+                    let p = probe.as_deref_mut().expect("emitting implies a probe");
+                    self.emit_window_samples(p, &scratch, epoch);
+                    if let (Some(moved), Some(pl)) = (steal_moved, planner.as_mut()) {
+                        p.steal(epoch, moved, pl.measured_imbalance_milli(jobs));
+                    }
+                    max_emitted = epoch;
+                }
+                let t_merge = will_emit.then(Instant::now);
+                let merged = self.merge_outboxes();
+                self.cross_region += merged;
+                if let (Some(p), Some(t_epoch), Some(t_merge)) =
+                    (probe.as_deref_mut(), t_epoch, t_merge)
+                {
+                    let merge_ns = t_merge.elapsed().as_nanos() as u64;
+                    let wall_ns = t_epoch.elapsed().as_nanos() as u64;
+                    p.epoch_end(epoch, wall_ns, merged, merge_ns);
+                }
+            }
+        })?;
 
-        let end_time = (0..self.slots.len())
-            .map(|i| self.slot(i).committed)
+        let end_time = self
+            .slots()
+            .map(|s| s.committed)
             .max()
             .unwrap_or(SimTime::ZERO)
             .min(self.horizon);
-        let per_region: Vec<u64> = (0..self.slots.len())
-            .map(|i| self.slot(i).processed)
-            .collect();
+        let per_region: Vec<u64> = self.slots().map(|s| s.processed).collect();
         let report = ShardRunReport {
             reason,
             events_processed: per_region.iter().sum(),
             per_region,
-            cross_region,
-            epochs,
+            cross_region: self.cross_region,
+            epochs: self.epochs,
             end_time,
         };
-        if let Some(p) = probe {
+        if let (Some(p), Some(t_run)) = (probe, t_run) {
             p.run_end(&report, t_run.elapsed().as_nanos() as u64);
         }
         let worlds = self
@@ -1281,53 +1183,23 @@ impl<W: RegionWorld> ShardedEngine<W> {
             .into_iter()
             .map(|s| s.expect("slot present after run").world)
             .collect();
-        (report, worlds)
+        Ok((report, worlds))
     }
 }
-
-/// A supervised job: a region slot, its safe window end, and an optional
-/// injected-crash marker decided by the coordinator.
-struct SupJob<W: RegionWorld> {
-    index: usize,
-    slot: Box<Slot<W>>,
-    window_end: SimTime,
-    timed: bool,
-    crash: Option<u64>,
-}
-
-type PanicPayload = Box<dyn std::any::Any + Send + 'static>;
 
 impl<W: RegionWorld + CheckpointState> ShardedEngine<W> {
-    /// Global minimum pending-event time across regions (the next barrier's
-    /// cut position; `None` when every queue is empty).
-    fn min_peek(&self) -> Option<SimTime> {
-        (0..self.slots.len())
-            .filter_map(|i| self.slot(i).queue.peek_time())
-            .min()
-    }
-
-    fn total_processed(&self) -> u64 {
-        (0..self.slots.len()).map(|i| self.slot(i).processed).sum()
-    }
-
     /// Serialize the complete engine state at an epoch barrier: run
     /// counters, then one length-prefixed block per region (committed
     /// horizon, processed count, stop flag, queue tie-break counters, every
     /// pending event with its sequence number, and the world's own state),
     /// then the probe's observer state. Must only be called at a barrier —
     /// outboxes drained, no slot checked out.
-    fn encode_payload(
-        &self,
-        epochs: u64,
-        cross_region: u64,
-        probe: Option<&dyn ShardProbe>,
-    ) -> Vec<u8> {
+    fn encode_payload(&self, probe: Option<&dyn ShardProbe>) -> Vec<u8> {
         let mut w = ByteWriter::new();
-        w.u64(epochs);
-        w.u64(cross_region);
+        w.u64(self.epochs);
+        w.u64(self.cross_region);
         w.u32(self.slots.len() as u32);
-        for i in 0..self.slots.len() {
-            let slot = self.slot(i);
+        for slot in self.slots() {
             debug_assert!(
                 slot.outbox.is_empty(),
                 "checkpoint off a barrier: outbox not drained"
@@ -1360,13 +1232,13 @@ impl<W: RegionWorld + CheckpointState> ShardedEngine<W> {
     }
 
     /// Overwrite the engine's state from a payload written by
-    /// [`encode_payload`](ShardedEngine::encode_payload). Returns the
-    /// restored `(epochs, cross_region, probe_bytes)`. On error the engine
+    /// [`encode_payload`](ShardedEngine::encode_payload), counters
+    /// included. Returns the probe's observer bytes. On error the engine
     /// may be partially overwritten and must be discarded.
-    fn restore_payload(&mut self, payload: &[u8]) -> Result<(u64, u64, Vec<u8>), CheckpointError> {
+    fn restore_payload(&mut self, payload: &[u8]) -> Result<Vec<u8>, CheckpointError> {
         let mut r = ByteReader::new(payload);
-        let epochs = r.u64()?;
-        let cross_region = r.u64()?;
+        self.epochs = r.u64()?;
+        self.cross_region = r.u64()?;
         let n = r.u32()? as usize;
         if n != self.slots.len() {
             return Err(CheckpointError::Corrupt(format!(
@@ -1377,7 +1249,7 @@ impl<W: RegionWorld + CheckpointState> ShardedEngine<W> {
         for i in 0..n {
             let block = r.bytes()?;
             let mut br = ByteReader::new(block);
-            let slot = self.slots[i].as_mut().expect("slot present between epochs");
+            let slot = self.slot_mut(i);
             slot.committed = SimTime(br.u64()?);
             slot.processed = br.u64()?;
             slot.stopped = br.u8()? != 0;
@@ -1401,7 +1273,7 @@ impl<W: RegionWorld + CheckpointState> ShardedEngine<W> {
         }
         let probe_bytes = r.bytes()?.to_vec();
         r.expect_end()?;
-        Ok((epochs, cross_region, probe_bytes))
+        Ok(probe_bytes)
     }
 
     /// Restore a checkpoint image into this (freshly built, identically
@@ -1422,10 +1294,7 @@ impl<W: RegionWorld + CheckpointState> ShardedEngine<W> {
                 expected: expected_scenario,
             });
         }
-        let (epochs, cross, probe) = self.restore_payload(payload)?;
-        self.resume_epochs = epochs;
-        self.resume_cross = cross;
-        self.resume_probe = probe;
+        self.resume_probe = self.restore_payload(payload)?;
         self.resume_from = Some(meta.epoch);
         Ok(meta)
     }
@@ -1453,22 +1322,6 @@ impl<W: RegionWorld + CheckpointState> ShardedEngine<W> {
         mut probe: Option<&mut dyn ShardProbe>,
         cfg: &SupervisorConfig,
     ) -> Result<(ShardRunReport, Vec<W>, SupervisorReport), CheckpointError> {
-        assert!(threads >= 1, "at least one thread");
-        if !cfg.crash_plan.is_empty() {
-            install_quiet_crash_hook();
-        }
-        let workers = threads.min(self.slots.len());
-        let t_run = Instant::now();
-
-        let mut epochs = self.resume_epochs;
-        let mut cross_region = self.resume_cross;
-        // Epochs at or below this were already observed (in this process or
-        // the checkpointed one); suppress probe callbacks for them.
-        let mut max_emitted = self.resume_epochs;
-        let mut sup = SupervisorReport {
-            resumed_from_epoch: self.resume_from,
-            ..SupervisorReport::default()
-        };
         if !self.resume_probe.is_empty() {
             if let Some(p) = probe.as_deref_mut() {
                 let bytes = std::mem::take(&mut self.resume_probe);
@@ -1477,262 +1330,208 @@ impl<W: RegionWorld + CheckpointState> ShardedEngine<W> {
                 r.expect_end()?;
             }
         }
-        let mut crash = CrashState::new(&cfg.crash_plan);
-        let every_ns = cfg.checkpoint_every.map(|d| d.0.max(1));
-        // Cadence marks are keyed on the global minimum pending time (the
-        // committed-horizon minimum never advances for idle regions).
-        let mut last_mark: u64 = match (every_ns, self.min_peek()) {
-            (Some(e), Some(t)) => t.as_nanos() / e,
-            _ => 0,
-        };
-        // Rollback anchor: a full serialized cut at the current barrier,
-        // refreshed at every checkpoint mark. Always present, so recovery
-        // works even with checkpointing off (replay from the start).
-        let mut anchor = self.encode_payload(epochs, cross_region, probe.as_deref());
-
-        let mut safe: Vec<SimTime> = Vec::with_capacity(self.slots.len());
-        let mut jobs: Vec<usize> = Vec::with_capacity(self.slots.len());
-        let mut scratch = EpochScratch::default();
-        let horizon = self.horizon;
-        let lookahead = self.lookahead.clone();
-        // Planner state is wall-clock-only and deliberately not part of the
-        // anchor or any checkpoint: rollback, replay and resume all start
-        // from whatever (possibly cold, possibly stale) predictions are at
-        // hand — any schedule is equally correct.
-        let stealing = self.steal && workers > 1;
-        let mut planner = stealing.then(|| StealPlanner::new(self.slots.len(), workers));
-
-        let reason = std::thread::scope(|scope| -> Result<ShardStopReason, CheckpointError> {
-            let (done_tx, done_rx) = mpsc::channel::<(SupJob<W>, Option<PanicPayload>)>();
-            let mut work_txs: Vec<mpsc::Sender<SupJob<W>>> = Vec::with_capacity(workers);
-            if workers > 1 {
-                for _ in 0..workers {
-                    let (tx, rx) = mpsc::channel::<SupJob<W>>();
-                    let done = done_tx.clone();
-                    let lookahead = lookahead.clone();
-                    work_txs.push(tx);
-                    scope.spawn(move || {
-                        while let Ok(mut job) = rx.recv() {
-                            let res = catch_unwind(AssertUnwindSafe(|| {
-                                job.slot.run_window_crashing(
-                                    job.window_end,
-                                    horizon,
-                                    &lookahead,
-                                    job.timed,
-                                    job.crash,
-                                )
-                            }));
-                            if done.send((job, res.err())).is_err() {
-                                break;
-                            }
-                        }
-                    });
-                }
-            }
-            drop(done_tx);
-            loop {
-                // Barrier: outboxes drained, no slot checked out — a
-                // globally consistent cut.
-                if cfg
-                    .interrupt
-                    .as_ref()
-                    .is_some_and(|f| f.load(Ordering::Relaxed))
-                {
-                    if let Some(dir) = &cfg.checkpoint_dir {
-                        let payload = self.encode_payload(epochs, cross_region, probe.as_deref());
-                        let committed =
-                            self.min_peek().map(|t| t.as_nanos()).unwrap_or_else(|| {
-                                (0..self.slots.len())
-                                    .map(|i| self.slot(i).committed.as_nanos())
-                                    .max()
-                                    .unwrap_or(0)
-                            });
-                        let img = checkpoint::seal(
-                            cfg.scenario,
-                            epochs,
-                            committed,
-                            self.slots.len() as u32,
-                            self.total_processed(),
-                            &payload,
-                        );
-                        let path = dir.join(checkpoint::file_name(epochs));
-                        checkpoint::write_atomic(&path, &img)?;
-                        sup.checkpoints_written += 1;
-                        sup.last_checkpoint = Some(path);
-                    }
-                    sup.interrupted = true;
-                    break Ok(ShardStopReason::Interrupted);
-                }
-                if let (Some(every), Some(t_min)) = (every_ns, self.min_peek()) {
-                    let mark = t_min.as_nanos() / every;
-                    if mark > last_mark {
-                        last_mark = mark;
-                        anchor = self.encode_payload(epochs, cross_region, probe.as_deref());
-                        if let Some(dir) = &cfg.checkpoint_dir {
-                            let img = checkpoint::seal(
-                                cfg.scenario,
-                                epochs,
-                                t_min.as_nanos(),
-                                self.slots.len() as u32,
-                                self.total_processed(),
-                                &anchor,
-                            );
-                            let path = dir.join(checkpoint::file_name(epochs));
-                            checkpoint::write_atomic(&path, &img)?;
-                            sup.checkpoints_written += 1;
-                            sup.last_checkpoint = Some(path);
-                        }
-                    }
-                }
-                let will_emit = probe.is_some() && epochs + 1 > max_emitted;
-                let sources = will_emit.then_some(&mut scratch.sources);
-                if let Err(reason) = self.epoch_plan(&mut safe, &mut jobs, sources) {
-                    break Ok(reason);
-                }
-                let timed = will_emit || stealing;
-                let t_epoch = will_emit.then(Instant::now);
-                if will_emit {
-                    self.snapshot_pre_epoch(&mut scratch);
-                }
-                epochs += 1;
-                // Crash decisions are made here, on the coordinator, in
-                // ascending region order — identical for every worker
-                // count, and consumed so a replay cannot re-fire them.
-                let crashes: Vec<Option<u64>> = jobs
-                    .iter()
-                    .map(|&i| crash.decide(epochs, i as RegionId).then_some(epochs))
-                    .collect();
-                let mut payloads: Vec<PanicPayload> = Vec::new();
-                // `Some(moved)` when the planner packed this epoch.
-                let mut steal_moved: Option<u64> = None;
-                if workers <= 1 || jobs.len() == 1 {
-                    // Serial epoch (or serial engine): skip the pool
-                    // round-trip, exactly like the plain run loop. Crash
-                    // injection and panic isolation still apply.
-                    for (k, &i) in jobs.iter().enumerate() {
-                        let mut slot = self.slots[i].take().expect("slot present");
-                        let res = catch_unwind(AssertUnwindSafe(|| {
-                            slot.run_window_crashing(
-                                safe[i], horizon, &lookahead, timed, crashes[k],
-                            )
-                        }));
-                        self.slots[i] = Some(slot);
-                        if let Err(p) = res {
-                            payloads.push(p);
-                        }
-                    }
-                    if let Some(pl) = planner.as_mut() {
-                        for &i in &jobs {
-                            pl.observe(i, self.slot(i).last_busy_ns);
-                        }
-                    }
-                } else {
-                    steal_moved = planner.as_mut().map(|pl| pl.plan(&jobs));
-                    for (k, &i) in jobs.iter().enumerate() {
-                        let slot = self.slots[i].take().expect("slot present");
-                        let job = SupJob {
-                            index: i,
-                            slot,
-                            window_end: safe[i],
-                            timed,
-                            crash: crashes[k],
-                        };
-                        let w = match planner.as_ref() {
-                            Some(pl) => pl.assignment[k] as usize,
-                            None => i % workers,
-                        };
-                        work_txs[w]
-                            .send(job)
-                            .expect("worker alive for the whole run");
-                    }
-                    for _ in 0..jobs.len() {
-                        let (job, payload) = done_rx.recv().expect("worker returned its slot");
-                        self.slots[job.index] = Some(job.slot);
-                        if let Some(p) = payload {
-                            payloads.push(p);
-                        }
-                    }
-                    if let Some(pl) = planner.as_mut() {
-                        for &i in &jobs {
-                            pl.observe(i, self.slot(i).last_busy_ns);
-                        }
-                    }
-                }
-                if !payloads.is_empty() {
-                    // A fatal panic wins over recovery, whatever order the
-                    // payloads arrived in.
-                    if let Some(pos) = payloads
-                        .iter()
-                        .position(|p| !matches!(classify_panic(p.as_ref()), PanicClass::Injected))
-                    {
-                        let p = payloads.swap_remove(pos);
-                        let what = match classify_panic(p.as_ref()) {
-                            PanicClass::Invariant => "conservative-invariant violation",
-                            _ => "unclassified worker panic",
-                        };
-                        eprintln!(
-                            "shard supervisor: {what} in epoch {epochs}; state cannot be \
-                             trusted, aborting"
-                        );
-                        resume_unwind(p);
-                    }
-                    // All injected: roll every region back to the anchor
-                    // and replay. Counters and probe gating make the replay
-                    // invisible in the results.
-                    sup.recoveries += 1;
-                    let (e, c, _) = self.restore_payload(&anchor)?;
-                    epochs = e;
-                    cross_region = c;
-                    continue;
-                }
-                if will_emit {
-                    if let Some(p) = probe.as_deref_mut() {
-                        self.emit_window_samples(p, &scratch, &safe, &jobs, epochs);
-                        if let (Some(moved), Some(pl)) = (steal_moved, planner.as_mut()) {
-                            let imb = pl.measured_imbalance_milli(&jobs);
-                            p.steal(epochs, moved, imb);
-                        }
-                    }
-                    max_emitted = epochs;
-                }
-                let t_merge = timed.then(Instant::now);
-                let merged = self.merge_outboxes();
-                cross_region += merged;
-                if will_emit {
-                    if let Some(p) = probe.as_deref_mut() {
-                        let merge_ns = t_merge.expect("timed").elapsed().as_nanos() as u64;
-                        let wall_ns = t_epoch.expect("timed").elapsed().as_nanos() as u64;
-                        p.epoch_end(epochs, wall_ns, merged, merge_ns);
-                    }
-                }
-            }
-        })?;
-
-        let end_time = (0..self.slots.len())
-            .map(|i| self.slot(i).committed)
-            .max()
-            .unwrap_or(SimTime::ZERO)
-            .min(self.horizon);
-        let per_region: Vec<u64> = (0..self.slots.len())
-            .map(|i| self.slot(i).processed)
-            .collect();
-        let report = ShardRunReport {
-            reason,
-            events_processed: per_region.iter().sum(),
-            per_region,
-            cross_region,
-            epochs,
-            end_time,
-        };
-        if let Some(p) = probe {
-            p.run_end(&report, t_run.elapsed().as_nanos() as u64);
+        let recovers = !cfg.crash_plan.is_empty();
+        if recovers {
+            install_quiet_crash_hook();
         }
-        let worlds = self
-            .slots
-            .into_iter()
-            .map(|s| s.expect("slot present after run").world)
-            .collect();
-        Ok((report, worlds, sup))
+        let plan = &cfg.crash_plan;
+        let mut sup = Supervisor {
+            cfg,
+            scripted: plan.scripted.clone(),
+            stochastic: plan
+                .stochastic
+                .map(|s| (s.rate, SimRng::new(s.seed), s.max)),
+            last_mark: cadence_mark(cfg, &self).map_or(0, |(mark, _)| mark),
+            anchor: recovers.then(|| self.encode_payload(probe.as_deref())),
+            report: SupervisorReport {
+                resumed_from_epoch: self.resume_from,
+                ..SupervisorReport::default()
+            },
+        };
+        let (report, worlds) = self.run_epochs(threads, probe, &mut sup)?;
+        Ok((report, worlds, sup.report))
+    }
+}
+
+/// The supervision hooks of the epoch loop
+/// ([`run_epochs`](ShardedEngine::run_epochs)). The defaults are the plain
+/// run's policy: never stop at a barrier, never inject a crash, and re-raise
+/// any window panic on the calling thread.
+trait Supervision<W: RegionWorld> {
+    /// Called at every barrier before the epoch is planned; `Some` ends
+    /// the run with that reason.
+    fn at_barrier(
+        &mut self,
+        _eng: &ShardedEngine<W>,
+        _probe: Option<&dyn ShardProbe>,
+    ) -> Result<Option<ShardStopReason>, CheckpointError> {
+        Ok(None)
+    }
+
+    /// Whether to kill `region`'s window in `epoch`.
+    fn crash(&mut self, _epoch: u64, _region: RegionId) -> bool {
+        false
+    }
+
+    /// Handle the window panics of the epoch just run: either re-raise one,
+    /// or roll the engine back and clear `panics`.
+    fn recover(
+        &mut self,
+        _eng: &mut ShardedEngine<W>,
+        panics: &mut Vec<PanicPayload>,
+    ) -> Result<(), CheckpointError> {
+        resume_unwind(panics.swap_remove(0))
+    }
+}
+
+/// The policy of plain runs: every hook keeps its no-op default.
+struct Unsupervised;
+
+impl<W: RegionWorld> Supervision<W> for Unsupervised {}
+
+/// The policy of [`ShardedEngine::run_supervised`]: interrupt stops with a
+/// final checkpoint, cadence checkpoints, crash injection, and rollback
+/// recovery from injected crashes.
+struct Supervisor<'a> {
+    cfg: &'a SupervisorConfig,
+    /// Crash decisions not yet consumed. Deliberately outside the rollback
+    /// scope, so a replay cannot re-fire them.
+    scripted: Vec<(u64, RegionId)>,
+    /// `(rate, decision stream, crashes left)` of the stochastic mode.
+    stochastic: Option<(f64, SimRng, u32)>,
+    /// The last cadence multiple crossed. Marks are keyed on the global
+    /// minimum pending time (the committed-horizon minimum never advances
+    /// for idle regions).
+    last_mark: u64,
+    /// Rollback anchor: a full serialized cut at the run start, refreshed
+    /// at every checkpoint mark. Kept only when the crash plan can inject a
+    /// crash to recover from; a crash then replays from the anchor (the
+    /// beginning, with checkpointing off).
+    anchor: Option<Vec<u8>>,
+    report: SupervisorReport,
+}
+
+/// The checkpoint-cadence multiple the global minimum pending time has
+/// reached, with that time in ns (`None` without a cadence or events).
+fn cadence_mark<W: RegionWorld>(
+    cfg: &SupervisorConfig,
+    eng: &ShardedEngine<W>,
+) -> Option<(u64, u64)> {
+    let every = cfg.checkpoint_every?.0.max(1);
+    let t_min = eng.min_peek()?.as_nanos();
+    Some((t_min / every, t_min))
+}
+
+impl Supervisor<'_> {
+    /// Serialize the engine at the current barrier, write it as a sealed
+    /// checkpoint file when a directory is configured, and return the
+    /// payload.
+    fn checkpoint<W: CheckpointState>(
+        &mut self,
+        eng: &ShardedEngine<W>,
+        probe: Option<&dyn ShardProbe>,
+        committed_ns: u64,
+    ) -> Result<Vec<u8>, CheckpointError> {
+        let payload = eng.encode_payload(probe);
+        if let Some(dir) = &self.cfg.checkpoint_dir {
+            let img = checkpoint::seal(
+                self.cfg.scenario,
+                eng.epochs,
+                committed_ns,
+                eng.slots.len() as u32,
+                eng.total_processed(),
+                &payload,
+            );
+            let path = dir.join(checkpoint::file_name(eng.epochs));
+            checkpoint::write_atomic(&path, &img)?;
+            self.report.checkpoints_written += 1;
+            self.report.last_checkpoint = Some(path);
+        }
+        Ok(payload)
+    }
+}
+
+impl<W: CheckpointState> Supervision<W> for Supervisor<'_> {
+    fn at_barrier(
+        &mut self,
+        eng: &ShardedEngine<W>,
+        probe: Option<&dyn ShardProbe>,
+    ) -> Result<Option<ShardStopReason>, CheckpointError> {
+        if self
+            .cfg
+            .interrupt
+            .as_ref()
+            .is_some_and(|f| f.load(Ordering::Relaxed))
+        {
+            if self.cfg.checkpoint_dir.is_some() {
+                let committed = eng.min_peek().map(|t| t.as_nanos()).unwrap_or_else(|| {
+                    eng.slots()
+                        .map(|s| s.committed.as_nanos())
+                        .max()
+                        .unwrap_or(0)
+                });
+                self.checkpoint(eng, probe, committed)?;
+            }
+            self.report.interrupted = true;
+            return Ok(Some(ShardStopReason::Interrupted));
+        }
+        let mark = cadence_mark(self.cfg, eng).filter(|&(m, _)| m > self.last_mark);
+        if let Some((mark, t_min)) = mark {
+            self.last_mark = mark;
+            if self.anchor.is_some() || self.cfg.checkpoint_dir.is_some() {
+                let payload = self.checkpoint(eng, probe, t_min)?;
+                if let Some(anchor) = &mut self.anchor {
+                    *anchor = payload;
+                }
+            }
+        }
+        Ok(None)
+    }
+
+    /// Consumes the matching scripted entry or stochastic budget.
+    fn crash(&mut self, epoch: u64, region: RegionId) -> bool {
+        if let Some(pos) = self
+            .scripted
+            .iter()
+            .position(|&(e, r)| e == epoch && r == region)
+        {
+            self.scripted.remove(pos);
+            return true;
+        }
+        if let Some((rate, rng, remaining)) = &mut self.stochastic {
+            if *remaining > 0 && rng.chance(*rate) {
+                *remaining -= 1;
+                return true;
+            }
+        }
+        false
+    }
+
+    fn recover(
+        &mut self,
+        eng: &mut ShardedEngine<W>,
+        panics: &mut Vec<PanicPayload>,
+    ) -> Result<(), CheckpointError> {
+        // A fatal panic wins over recovery, whatever order the payloads
+        // arrived in.
+        let fatal = panics.iter().position(|p| !p.is::<InjectedCrash>());
+        if let (None, Some(anchor)) = (fatal, &self.anchor) {
+            // All injected: roll every region back to the anchor and
+            // replay. Counters and probe gating make the replay invisible
+            // in the results.
+            panics.clear();
+            self.report.recoveries += 1;
+            eng.restore_payload(anchor)?;
+            return Ok(());
+        }
+        // Anything else is a conservative-invariant violation or a genuine
+        // bug (the panic hook has already printed which): the simulation
+        // state cannot be trusted.
+        eprintln!(
+            "shard supervisor: worker panic in epoch {}; state cannot be trusted, aborting",
+            eng.epochs
+        );
+        resume_unwind(panics.swap_remove(fatal.unwrap_or(0)))
     }
 }
 
@@ -1976,25 +1775,61 @@ mod tests {
         assert!(report.events_processed >= 57);
     }
 
-    #[test]
-    #[should_panic(expected = "lookahead violation")]
-    fn under_declared_lookahead_panics() {
-        struct Cheater;
-        impl RegionWorld for Cheater {
-            type Event = ();
-            fn handle(&mut self, _ev: (), ctx: &mut RegionCtx<'_, ()>) {
-                // Declared lookahead is 1 ms but the send arrives in 1 µs.
-                let at = ctx.now() + SimDuration::from_micros(1);
-                ctx.send(1, at, ());
-            }
+    struct Cheater;
+    impl RegionWorld for Cheater {
+        type Event = ();
+        fn handle(&mut self, _ev: (), ctx: &mut RegionCtx<'_, ()>) {
+            // Declared lookahead is 1 ms but the send arrives in 1 µs.
+            let at = ctx.now() + SimDuration::from_micros(1);
+            ctx.send(1, at, ());
         }
-        let mut eng = ShardedEngine::new(
+    }
+
+    fn cheater_engine() -> ShardedEngine<Cheater> {
+        ShardedEngine::new(
             vec![Cheater, Cheater],
             Lookahead::uniform(2, SimDuration::from_millis(1)),
             SimTime::from_secs(1),
-        );
+        )
+    }
+
+    #[test]
+    #[should_panic(expected = "lookahead violation")]
+    fn under_declared_lookahead_panics() {
+        let mut eng = cheater_engine();
         eng.prime(0, SimTime::ZERO, ());
         let _ = eng.run(1);
+    }
+
+    #[test]
+    fn window_panic_on_a_worker_thread_reaches_the_caller() {
+        // Both regions are active in the first epoch, so their windows run
+        // on pool workers. Region 0's window panics; the run must re-raise
+        // it on the calling thread instead of waiting forever for the slot
+        // of a dead worker. The engine runs on its own thread so a hang
+        // fails this test through the timeout rather than stalling the
+        // suite.
+        for steal in [false, true] {
+            let (tx, rx) = mpsc::channel();
+            std::thread::spawn(move || {
+                let mut eng = cheater_engine().with_stealing(steal);
+                eng.prime(0, SimTime::ZERO, ());
+                eng.prime(1, SimTime::ZERO, ());
+                let res = catch_unwind(AssertUnwindSafe(|| eng.run(2)));
+                let msg = res.err().map(|p| {
+                    p.downcast_ref::<String>()
+                        .cloned()
+                        .or_else(|| p.downcast_ref::<&str>().map(|s| s.to_string()))
+                        .unwrap_or_default()
+                });
+                let _ = tx.send(msg);
+            });
+            let msg = rx
+                .recv_timeout(std::time::Duration::from_secs(30))
+                .unwrap_or_else(|_| panic!("run(2) hung after a window panic (steal {steal})"));
+            let msg = msg.expect("the run must panic");
+            assert!(msg.contains("lookahead violation"), "{msg}");
+        }
     }
 
     #[test]
@@ -2268,6 +2103,36 @@ mod tests {
             assert_eq!(a.log, b.log);
         }
         assert_eq!(sup, SupervisorReport::default());
+
+        // The same holds for every worker count and steal setting, and the
+        // probe sees the same windows, merges and run summary either way.
+        for threads in [1, 2, 8] {
+            for steal in [false, true] {
+                let mut rec_p = Recorder::default();
+                let (rp, wp) = chatter_sup_engine(6)
+                    .with_stealing(steal)
+                    .run_probed(threads, Some(&mut rec_p));
+                let mut rec_s = Recorder::default();
+                let (rs, ws, sup) = chatter_sup_engine(6)
+                    .with_stealing(steal)
+                    .run_supervised(threads, Some(&mut rec_s), &cfg)
+                    .expect("supervised run");
+                assert_eq!(rp.reason, rs.reason);
+                assert_eq!(rp.events_processed, rs.events_processed);
+                assert_eq!(rp.epochs, rs.epochs);
+                assert_eq!(rp.cross_region, rs.cross_region);
+                assert_eq!(rp.per_region, rs.per_region);
+                assert_eq!(rp.end_time, rs.end_time);
+                for (a, b) in wp.iter().zip(&ws) {
+                    assert_eq!(a.log, b.log);
+                }
+                assert_eq!(sup, SupervisorReport::default());
+                assert!(!rec_p.windows.is_empty());
+                assert_eq!(rec_p.windows, rec_s.windows);
+                assert_eq!(rec_p.merges, rec_s.merges);
+                assert_eq!(rec_p.run, rec_s.run);
+            }
+        }
     }
 
     #[test]
