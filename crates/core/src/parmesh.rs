@@ -74,6 +74,8 @@ pub const RX_RANGE_M: f64 = 250.0;
 pub const DRIFT_AMP_M: f64 = 25.0;
 /// Spatial-hash cell size for neighbour search.
 const CELL_M: f64 = 250.0;
+/// Slack on `next_hop`'s home-distance bounds, far above float error.
+const BOUND_MARGIN_M: f64 = 1.0;
 /// Minimum region side: must exceed the maximum hop distance
 /// (`RX_RANGE_M + 2 × DRIFT_AMP_M` = 300 m) so hops stay within the
 /// adjacent region ring.
@@ -464,12 +466,6 @@ impl Statics {
             .all(|&(down, up)| ns < down || ns >= up)
     }
 
-    fn cell_of(&self, x: f64, y: f64) -> (usize, usize) {
-        let cx = ((x / CELL_M) as usize).min(self.ncx - 1);
-        let cy = ((y / CELL_M) as usize).min(self.ncy - 1);
-        (cx, cy)
-    }
-
     fn region_at(&self, x: f64, y: f64) -> RegionId {
         let gx = ((x / self.side * self.rx as f64) as usize).min(self.rx - 1);
         let gy = ((y / self.side * self.ry as f64) as usize).min(self.ry - 1);
@@ -533,9 +529,35 @@ fn combine_region_fps(fps: &[(u64, u64)]) -> (u64, u64) {
     (count, checkpoint::fnv1a(&w.into_inner()))
 }
 
-fn dist(a: (f64, f64), b: (f64, f64)) -> f64 {
+/// The spatial-hash cell of `(x, y)` on an `ncx × ncy` grid of `CELL_M`
+/// cells — the one formula behind hashing homes, `nearest_to` and
+/// `next_hop`'s scan bounds. Monotone in each coordinate: the saturating
+/// float-to-int cast sends negatives to 0 and the `min` clamps past the
+/// far edge, so every point of a box lies in the cells between the cells
+/// of its corners.
+fn cell_of(x: f64, y: f64, ncx: usize, ncy: usize) -> (usize, usize) {
+    let cx = ((x / CELL_M) as usize).min(ncx - 1);
+    let cy = ((y / CELL_M) as usize).min(ncy - 1);
+    (cx, cy)
+}
+
+/// Node ids bucketed by the cell of their home, ascending within a cell.
+fn hash_homes(params: &[NodeParams], ncx: usize, ncy: usize) -> Vec<Vec<u32>> {
+    let mut cells: Vec<Vec<u32>> = vec![Vec::new(); ncx * ncy];
+    for (i, p) in params.iter().enumerate() {
+        let (cx, cy) = cell_of(p.home.0, p.home.1, ncx, ncy);
+        cells[cy * ncx + cx].push(i as u32);
+    }
+    cells
+}
+
+fn dist2(a: (f64, f64), b: (f64, f64)) -> f64 {
     let (dx, dy) = (a.0 - b.0, a.1 - b.1);
-    (dx * dx + dy * dy).sqrt()
+    dx * dx + dy * dy
+}
+
+fn dist(a: (f64, f64), b: (f64, f64)) -> f64 {
+    dist2(a, b).sqrt()
 }
 
 /// One in-flight data packet.
@@ -614,29 +636,53 @@ impl RegionNet {
         }
     }
 
-    /// Load-aware geographic next hop from `u` towards `pkt.dst` at `now`:
-    /// among up neighbours with positive progress, maximise
-    /// `progress / (1 + load)` — the neighbourhood-load rule — with
-    /// deterministic iteration order (cells, then ascending node id).
+    /// Load-aware geographic next hop from `u` towards `dst` at `now`:
+    /// `dst` itself when it is up and in range, else, among up nodes
+    /// within `RX_RANGE_M` of `u` whose progress towards `dst` exceeds
+    /// 1 m, the one maximising `progress / (1 + load)` — the
+    /// neighbourhood-load rule — with ties to the lowest id. That is a
+    /// maximum under a total order, so the winner does not depend on the
+    /// order candidates are visited in.
+    ///
+    /// The scan is bounded on home positions before any drift is
+    /// evaluated. A node never strays more than its `amp ≤ DRIFT_AMP_M`
+    /// from home, so with a `BOUND_MARGIN_M` margin (far above float
+    /// error) each bound skips only nodes the exact tests reject:
+    /// - cells: only those the box `pu ± (RX_RANGE_M + DRIFT_AMP_M +
+    ///   margin)` touches, found through the monotone [`cell_of`] that
+    ///   hashed the homes;
+    /// - range: `|home − pu| > RX_RANGE_M + amp + margin` puts the node
+    ///   out of range;
+    /// - progress: `|home − pdst| ≥ d_u + amp` caps progress at float
+    ///   error, below the 1 m floor.
+    ///
+    /// The hop is therefore bit-identical to an exhaustive scan over all
+    /// nodes, at a cost proportional to the nodes near `u`.
     fn next_hop(&self, u: u32, dst: u32, now: SimTime) -> Option<u32> {
         let st = &self.st;
         let pu = st.pos(u, now);
         let pdst = st.pos(dst, now);
+        let d_u = dist(pu, pdst);
         // Direct delivery beats any relay.
-        if dist(pu, pdst) <= RX_RANGE_M && st.is_up(dst, now) {
+        if d_u <= RX_RANGE_M && st.is_up(dst, now) {
             return Some(dst);
         }
-        let d_u = dist(pu, pdst);
-        let (cx, cy) = st.cell_of(pu.0, pu.1);
+        let reach = RX_RANGE_M + DRIFT_AMP_M + BOUND_MARGIN_M;
+        let (x0, y0) = cell_of(pu.0 - reach, pu.1 - reach, st.ncx, st.ncy);
+        let (x1, y1) = cell_of(pu.0 + reach, pu.1 + reach, st.ncx, st.ncy);
         let mut best: Option<(f64, u32)> = None;
-        for dy in -2i64..=2 {
-            for dx in -2i64..=2 {
-                let nx = cx as i64 + dx;
-                let ny = cy as i64 + dy;
-                if nx < 0 || ny < 0 || nx >= st.ncx as i64 || ny >= st.ncy as i64 {
-                    continue;
-                }
-                for &v in st.cell_members(ny as usize * st.ncx + nx as usize) {
+        for cy in y0..=y1 {
+            for cx in x0..=x1 {
+                for &v in st.cell_members(cy * st.ncx + cx) {
+                    let p = &st.params[v as usize];
+                    let range = RX_RANGE_M + p.amp + BOUND_MARGIN_M;
+                    if dist2(p.home, pu) > range * range {
+                        continue;
+                    }
+                    let closest = d_u + p.amp;
+                    if dist2(p.home, pdst) >= closest * closest {
+                        continue;
+                    }
                     if v == u || !st.is_up(v, now) {
                         continue;
                     }
@@ -1067,12 +1113,10 @@ pub fn region_grid(side: f64, nodes: usize, requested: Option<usize>) -> (usize,
     (rx, ry)
 }
 
-fn run_parmesh(cfg: &ParMesh) -> Result<ParMeshOutcome, CheckpointError> {
-    assert!(
-        !(cfg.trace_hash && cfg.supervised()),
-        "trace_hash folds events away as they are emitted; checkpoints need \
-         the buffered trace, so the two are incompatible"
-    );
+/// Build the shared world tables: placement and drift, churn schedule,
+/// spatial hash over homes, region ownership and flows — all pure
+/// functions of the configuration.
+fn build_statics(cfg: &ParMesh) -> Statics {
     let n = cfg.nodes;
     let cols = (n as f64).sqrt().ceil() as usize;
     let side = cols as f64 * PITCH_M;
@@ -1108,6 +1152,9 @@ fn run_parmesh(cfg: &ParMesh) -> Result<ParMeshOutcome, CheckpointError> {
             phase,
         });
     }
+    // `next_hop` bounds its scan by home distance, which is exact only
+    // while no node drifts further than DRIFT_AMP_M from home.
+    assert!(params.iter().all(|p| p.amp <= DRIFT_AMP_M));
 
     // --- churn schedule (pure function of the seed) ---
     let dur_ns = cfg.duration.as_nanos();
@@ -1126,12 +1173,7 @@ fn run_parmesh(cfg: &ParMesh) -> Result<ParMeshOutcome, CheckpointError> {
     // --- spatial hash over homes ---
     let ncx = ((side / CELL_M).ceil() as usize).max(1);
     let ncy = ncx;
-    let mut cells: Vec<Vec<u32>> = vec![Vec::new(); ncx * ncy];
-    for (i, p) in params.iter().enumerate() {
-        let cx = ((p.home.0 / CELL_M) as usize).min(ncx - 1);
-        let cy = ((p.home.1 / CELL_M) as usize).min(ncy - 1);
-        cells[cy * ncx + cx].push(i as u32);
-    }
+    let cells = hash_homes(&params, ncx, ncy);
 
     // --- region grid + ownership ---
     let (rx, ry) = region_grid(side, n, cfg.regions);
@@ -1171,8 +1213,7 @@ fn run_parmesh(cfg: &ParMesh) -> Result<ParMeshOutcome, CheckpointError> {
     // --- flows: local destinations a few hops away ---
     let mut flow_rng = SimRng::derive(cfg.seed, DOMAIN_FLOWS, 0);
     let nearest_to = |x: f64, y: f64, exclude: u32| -> Option<u32> {
-        let cx = ((x / CELL_M) as usize).min(ncx - 1);
-        let cy = ((y / CELL_M) as usize).min(ncy - 1);
+        let (cx, cy) = cell_of(x, y, ncx, ncy);
         let mut best: Option<(f64, u32)> = None;
         for ring in 0..ncx.max(ncy) {
             let r = ring as i64;
@@ -1225,9 +1266,7 @@ fn run_parmesh(cfg: &ParMesh) -> Result<ParMeshOutcome, CheckpointError> {
 
     let (churn_idx, churn_iv) = flatten_csr(&churn);
     let (cell_idx, cell_nodes) = flatten_csr(&cells);
-    drop(churn);
-    drop(cells);
-    let st = Arc::new(Statics {
+    Statics {
         params,
         churn_idx,
         churn_iv,
@@ -1242,7 +1281,20 @@ fn run_parmesh(cfg: &ParMesh) -> Result<ParMeshOutcome, CheckpointError> {
         flows,
         interval: cfg.interval,
         horizon,
-    });
+    }
+}
+
+fn run_parmesh(cfg: &ParMesh) -> Result<ParMeshOutcome, CheckpointError> {
+    assert!(
+        !(cfg.trace_hash && cfg.supervised()),
+        "trace_hash folds events away as they are emitted; checkpoints need \
+         the buffered trace, so the two are incompatible"
+    );
+    let st = Arc::new(build_statics(cfg));
+    let n = cfg.nodes;
+    let regions = st.rx * st.ry;
+    let horizon = st.horizon;
+    let dur_ns = cfg.duration.as_nanos();
 
     // --- per-region worlds, sinks, RNG streams ---
     let mut own: Vec<Vec<u32>> = vec![Vec::new(); regions];
@@ -1791,5 +1843,157 @@ mod tests {
             .trace_hash(true)
             .checkpoint_dir(&dir)
             .run();
+    }
+
+    /// `next_hop`'s rule with no cells and no bounds: every node is a
+    /// candidate, in id order.
+    fn next_hop_exhaustive(net: &RegionNet, u: u32, dst: u32, now: SimTime) -> Option<u32> {
+        let st = &net.st;
+        let pu = st.pos(u, now);
+        let pdst = st.pos(dst, now);
+        let d_u = dist(pu, pdst);
+        if d_u <= RX_RANGE_M && st.is_up(dst, now) {
+            return Some(dst);
+        }
+        let mut best: Option<(f64, u32)> = None;
+        for v in 0..st.params.len() as u32 {
+            if v == u || !st.is_up(v, now) {
+                continue;
+            }
+            let pv = st.pos(v, now);
+            if dist(pu, pv) > RX_RANGE_M {
+                continue;
+            }
+            let progress = d_u - dist(pv, pdst);
+            if progress <= 1.0 {
+                continue;
+            }
+            let score = progress / (1.0 + net.load_of(v) as f64);
+            let better = match best {
+                None => true,
+                Some((bs, bv)) => score > bs || (score == bs && v < bv),
+            };
+            if better {
+                best = Some((score, v));
+            }
+        }
+        best.map(|(_, v)| v)
+    }
+
+    /// A world whose homes are pushed onto the awkward spots — field
+    /// corners and edges, exact cell boundaries — then re-hashed, viewed
+    /// from a region that owns no node and holds a small random digested
+    /// load for every node. Each node `v` with `v % 9 == 4` has a twin
+    /// `v + 1` at the same home with the same load, so without mobility
+    /// their scores tie exactly.
+    fn awkward_world(cfg: &ParMesh) -> RegionNet {
+        let mut st = build_statics(cfg);
+        let side = st.side;
+        let snap = |x: f64| ((x / CELL_M).round() * CELL_M).clamp(0.0, side);
+        let mut prev = (0.0, 0.0);
+        for (i, p) in st.params.iter_mut().enumerate() {
+            let (x, y) = p.home;
+            p.home = match i % 9 {
+                0 => (snap(x), snap(y)),
+                1 => (snap(x), y),
+                2 => (x, snap(y)),
+                3 if x < 2.0 * PITCH_M => (0.0, y),
+                4 if y > side - 2.0 * PITCH_M => (x, side),
+                5 => prev,
+                _ => (x, y),
+            };
+            prev = p.home;
+        }
+        for (i, corner) in [(0.0, 0.0), (side, 0.0), (0.0, side), (side, side)]
+            .into_iter()
+            .enumerate()
+        {
+            st.params[i * 9 + 6].home = corner;
+        }
+        (st.cell_idx, st.cell_nodes) = flatten_csr(&hash_homes(&st.params, st.ncx, st.ncy));
+        let mut rng = SimRng::new(cfg.seed);
+        let mut remote = HashMap::new();
+        let mut load = 0;
+        for v in 0..st.params.len() as u32 {
+            if v % 9 != 5 {
+                load = rng.below(3) as u32;
+            }
+            remote.insert(v, load);
+        }
+        RegionNet {
+            id: 0,
+            st: Arc::new(st),
+            own: Vec::new(),
+            loads: Vec::new(),
+            remote,
+            rng,
+            tel: Tel::off(),
+            sink: None,
+            hello_seq: 0,
+            flow_seq: HashMap::new(),
+            stats: RegionStats::default(),
+        }
+    }
+
+    #[test]
+    fn bounded_next_hop_matches_exhaustive_scan() {
+        // 625 nodes make the field exactly 18 cells wide (homes on the far
+        // edge clamp into the last cell); 1600 leave a partial last cell.
+        for nodes in [625, 1600] {
+            for (mobility, churn) in [(true, true), (false, false), (true, false)] {
+                let cfg = ParMesh::new(nodes)
+                    .seed(nodes as u64)
+                    .duration(SimDuration::from_secs(20))
+                    .mobility(mobility)
+                    .churn(churn);
+                let net = awkward_world(&cfg);
+                let st = &net.st;
+                let n = st.params.len() as u32;
+                let mut rng = SimRng::new(7);
+                let (mut relays, mut ties, mut none) = (0, 0, 0);
+                let (mut outside, mut down) = (0, 0);
+                for t_ms in [0, 3_100, 5_000, 7_770, 11_000, 14_200, 19_990] {
+                    let now = SimTime::from_millis(t_ms);
+                    for u in 0..n {
+                        let (x, y) = st.pos(u, now);
+                        if x < 0.0 || y < 0.0 || x > st.side || y > st.side {
+                            outside += 1;
+                        }
+                        if !st.is_up(u, now) {
+                            down += 1;
+                        }
+                        // Nearby destinations (a few hops) and far ones.
+                        for dst in [
+                            (u + 1 + rng.below(60) as u32) % n,
+                            rng.below(n as u64) as u32,
+                        ] {
+                            if dst == u {
+                                continue;
+                            }
+                            let want = next_hop_exhaustive(&net, u, dst, now);
+                            assert_eq!(
+                                net.next_hop(u, dst, now),
+                                want,
+                                "nodes {nodes} mobility {mobility} churn {churn} \
+                                 u {u} dst {dst} t {t_ms} ms"
+                            );
+                            match want {
+                                None => none += 1,
+                                Some(v) if v != dst => {
+                                    relays += 1;
+                                    let twin_up = v % 9 == 4 && v + 1 != u && st.is_up(v + 1, now);
+                                    ties += usize::from(twin_up && !mobility);
+                                }
+                                _ => {}
+                            }
+                        }
+                    }
+                }
+                assert!(relays > 1_000 && none > 0, "relays {relays} none {none}");
+                assert_eq!(ties > 0, !mobility, "exact ties won by the lower id");
+                assert_eq!(outside > 0, mobility, "nodes drifting off the field");
+                assert_eq!(down > 0, churn, "nodes down");
+            }
+        }
     }
 }

@@ -156,20 +156,44 @@ pub fn parse_scheme(s: &str) -> Result<Scheme, String> {
     Scheme::parse(s)
 }
 
+/// Longest simulated time any flag may ask for, in seconds (~11.6 days):
+/// far past every experiment here, and far inside the `u64`-nanosecond
+/// clock (~584 years), so times and their sums never saturate.
+const MAX_SIM_S: f64 = 1e6;
+
+/// Highest per-flow packet rate, packets per second: a 1 µs gap, well
+/// above what one 802.11 channel carries.
+const MAX_PPS: f64 = 1e6;
+
+/// Widest `--grid` × `--pitch` field side, metres: over five times the
+/// 10k-node preset's 18 km. The classic stack's spatial index grows with
+/// the square of the side: `--grid 20 --pitch 1e5` (2000 km) allocates
+/// half a gigabyte at a time before the connectivity check refuses it.
+const MAX_FIELD_M: f64 = 1e5;
+
+/// Parse `s` as a finite number in `(0, max]`, or `[0, max]` when
+/// `zero_ok` — the shape every rate, length and time flag must have.
+fn parse_num(flag: &str, s: &str, zero_ok: bool, max: f64) -> Result<f64, String> {
+    let v: f64 = s.parse().map_err(|e| format!("{flag}: {e}"))?;
+    if v.is_finite() && (v > 0.0 || (zero_ok && v == 0.0)) && v <= max {
+        Ok(v)
+    } else {
+        let lo = if zero_ok { '[' } else { '(' };
+        Err(format!(
+            "{flag} must be a finite number in {lo}0, {max:e}], got {s}"
+        ))
+    }
+}
+
 /// Parse a `--fail` spec: `N@T` (permanent) or `N@T:U` (reboot at `U`).
 pub fn parse_fail(s: &str) -> Result<(u32, f64, Option<f64>), String> {
     let (node, times) = s.split_once('@').ok_or("--fail needs N@T[:U]")?;
     let node: u32 = node.parse().map_err(|e| format!("bad --fail node: {e}"))?;
     let (down, up) = match times.split_once(':') {
-        Some((d, u)) => {
-            let u: f64 = u.parse().map_err(|e| format!("bad --fail up time: {e}"))?;
-            (d, Some(u))
-        }
+        Some((d, u)) => (d, Some(parse_num("--fail up time", u, true, MAX_SIM_S)?)),
         None => (times, None),
     };
-    let down: f64 = down
-        .parse()
-        .map_err(|e| format!("bad --fail down time: {e}"))?;
+    let down = parse_num("--fail down time", down, true, MAX_SIM_S)?;
     if let Some(u) = up {
         if u <= down {
             return Err("--fail reboot time must be after the crash".into());
@@ -181,12 +205,10 @@ pub fn parse_fail(s: &str) -> Result<(u32, f64, Option<f64>), String> {
 /// Parse a `--churn` spec: `MTBF,MTTR` in seconds.
 pub fn parse_churn(s: &str) -> Result<(f64, f64), String> {
     let (mtbf, mttr) = s.split_once(',').ok_or("--churn needs MTBF,MTTR")?;
-    let mtbf: f64 = mtbf.parse().map_err(|e| format!("bad --churn mtbf: {e}"))?;
-    let mttr: f64 = mttr.parse().map_err(|e| format!("bad --churn mttr: {e}"))?;
-    if mtbf <= 0.0 || mttr <= 0.0 {
-        return Err("--churn times must be positive".into());
-    }
-    Ok((mtbf, mttr))
+    Ok((
+        parse_num("--churn mtbf", mtbf, false, MAX_SIM_S)?,
+        parse_num("--churn mttr", mttr, false, MAX_SIM_S)?,
+    ))
 }
 
 /// What an argument vector parses to: a runnable scenario, or an explicit
@@ -208,11 +230,7 @@ pub fn parse_args(args: &[String]) -> Result<Parsed, String> {
         };
         match flag.as_str() {
             "--grid" => o.grid = val("--grid")?.parse().map_err(|e| format!("--grid: {e}"))?,
-            "--pitch" => {
-                o.pitch = val("--pitch")?
-                    .parse()
-                    .map_err(|e| format!("--pitch: {e}"))?
-            }
+            "--pitch" => o.pitch = parse_num("--pitch", val("--pitch")?, false, MAX_FIELD_M)?,
             "--nodes" => {
                 o.nodes = Some(
                     val("--nodes")?
@@ -227,22 +245,16 @@ pub fn parse_args(args: &[String]) -> Result<Parsed, String> {
                     .parse()
                     .map_err(|e| format!("--flows: {e}"))?
             }
-            "--pps" => o.pps = val("--pps")?.parse().map_err(|e| format!("--pps: {e}"))?,
+            "--pps" => o.pps = parse_num("--pps", val("--pps")?, false, MAX_PPS)?,
             "--payload" => {
                 o.payload = val("--payload")?
                     .parse()
                     .map_err(|e| format!("--payload: {e}"))?
             }
             "--duration" => {
-                o.duration_s = val("--duration")?
-                    .parse()
-                    .map_err(|e| format!("--duration: {e}"))?
+                o.duration_s = parse_num("--duration", val("--duration")?, false, MAX_SIM_S)?
             }
-            "--warmup" => {
-                o.warmup_s = val("--warmup")?
-                    .parse()
-                    .map_err(|e| format!("--warmup: {e}"))?
-            }
+            "--warmup" => o.warmup_s = parse_num("--warmup", val("--warmup")?, true, MAX_SIM_S)?,
             "--seed" => o.seed = val("--seed")?.parse().map_err(|e| format!("--seed: {e}"))?,
             "--clients" => {
                 o.clients = val("--clients")?
@@ -250,9 +262,8 @@ pub fn parse_args(args: &[String]) -> Result<Parsed, String> {
                     .map_err(|e| format!("--clients: {e}"))?
             }
             "--client-speed" => {
-                o.client_speed = val("--client-speed")?
-                    .parse()
-                    .map_err(|e| format!("--client-speed: {e}"))?
+                o.client_speed =
+                    parse_num("--client-speed", val("--client-speed")?, false, f64::MAX)?
             }
             "--fail" => o.fails.push(parse_fail(val("--fail")?)?),
             "--churn" => o.churn = Some(parse_churn(val("--churn")?)?),
@@ -283,11 +294,12 @@ pub fn parse_args(args: &[String]) -> Result<Parsed, String> {
             "--profile-out" => o.profile_out = Some(val("--profile-out")?.clone()),
             "--checkpoint-dir" => o.checkpoint_dir = Some(val("--checkpoint-dir")?.clone()),
             "--checkpoint-every" => {
-                o.checkpoint_every_s = Some(
-                    val("--checkpoint-every")?
-                        .parse()
-                        .map_err(|e| format!("--checkpoint-every: {e}"))?,
-                )
+                o.checkpoint_every_s = Some(parse_num(
+                    "--checkpoint-every",
+                    val("--checkpoint-every")?,
+                    false,
+                    MAX_SIM_S,
+                )?)
             }
             "--resume" => o.resume = true,
             "--help" | "-h" => return Ok(Parsed::Help),
@@ -296,6 +308,12 @@ pub fn parse_args(args: &[String]) -> Result<Parsed, String> {
     }
     if o.grid < 2 {
         return Err("--grid must be ≥ 2".into());
+    }
+    if o.nodes.is_none() && o.grid as f64 * o.pitch > MAX_FIELD_M {
+        return Err(format!(
+            "--grid × --pitch must be at most {MAX_FIELD_M:e} m, got {} m",
+            o.grid as f64 * o.pitch
+        ));
     }
     if let Some(n) = o.nodes {
         if n < 4 {
@@ -311,6 +329,9 @@ pub fn parse_args(args: &[String]) -> Result<Parsed, String> {
     }
     if o.threads < 1 {
         return Err("--threads must be ≥ 1".into());
+    }
+    if o.regions == Some(0) {
+        return Err("--regions must be ≥ 1".into());
     }
     if !o.parmesh
         && (o.threads > 1
@@ -338,9 +359,6 @@ pub fn parse_args(args: &[String]) -> Result<Parsed, String> {
              the buffered trace, so it cannot combine with --checkpoint-dir"
                 .into(),
         );
-    }
-    if o.checkpoint_every_s.is_some_and(|s| s <= 0.0) {
-        return Err("--checkpoint-every must be positive".into());
     }
     if o.random_placement && o.nodes.is_none() {
         return Err("--random requires --nodes".into());
@@ -432,9 +450,7 @@ fn run_parmesh(opts: &Options) {
         .trace_hash(opts.trace_hash)
         .profile(opts.profile_out.is_some())
         .crash_plan(wmn::sim::shard::CrashPlan::from_env());
-    if opts.pps > 0.0 {
-        pm = pm.interval(SimDuration::from_secs_f64(1.0 / opts.pps));
-    }
+    pm = pm.interval(SimDuration::from_secs_f64(1.0 / opts.pps));
     if let Some(r) = opts.regions {
         pm = pm.regions(r);
     }
@@ -946,6 +962,89 @@ mod tests {
         assert!(parse_args(&argv("--bogus 1")).is_err());
         assert!(parse_args(&argv("--grid 1")).is_err());
         assert!(parse_args(&argv("--duration 5 --warmup 9")).is_err());
+    }
+
+    /// Every flag that takes a real number, each with `v` in the one slot
+    /// under test and everything else valid.
+    fn real_flag_uses(v: &str) -> [String; 8] {
+        [
+            format!("--pitch {v}"),
+            format!("--nodes 25 --duration 3 --warmup 1 --pps {v}"),
+            format!("--duration {v}"),
+            format!("--warmup {v}"),
+            format!("--clients 3 --client-speed {v}"),
+            format!("--churn {v},5"),
+            format!("--fail 3@{v}"),
+            format!("--parmesh --nodes 1000 --checkpoint-dir /tmp/ck --checkpoint-every {v}"),
+        ]
+    }
+
+    fn rejected(args: &str) -> bool {
+        parse_args(&argv(args)).is_err()
+    }
+
+    #[test]
+    fn non_finite_numbers_are_rejected() {
+        for v in ["nan", "NaN", "inf", "-inf", "infinity"] {
+            for args in real_flag_uses(v) {
+                assert!(rejected(&args), "{args}");
+            }
+            assert!(parse_churn(&format!("60,{v}")).is_err(), "--churn mttr {v}");
+            assert!(
+                parse_fail(&format!("3@2:{v}")).is_err(),
+                "--fail up time {v}"
+            );
+        }
+    }
+
+    #[test]
+    fn negative_numbers_are_rejected() {
+        for v in ["-1", "-0.5", "-1e-9"] {
+            for args in real_flag_uses(v) {
+                assert!(rejected(&args), "{args}");
+            }
+        }
+    }
+
+    #[test]
+    fn zero_is_rejected_where_a_positive_value_is_needed() {
+        for args in real_flag_uses("0") {
+            // --warmup 0 and a crash at t = 0 are meaningful.
+            let zero_ok = args.starts_with("--warmup") || args.starts_with("--fail");
+            assert_eq!(rejected(&args), !zero_ok, "{args}");
+        }
+        assert!(parse_churn("60,0").is_err());
+    }
+
+    #[test]
+    fn numbers_past_their_caps_are_rejected() {
+        // Past the cap a duration saturates the nanosecond clock and a rate
+        // rounds its gap to zero: runs that would never return.
+        for v in ["2e6", "1e300"] {
+            // Any finite client speed runs, so it has no cap.
+            for args in real_flag_uses(v) {
+                assert_eq!(rejected(&args), !args.contains("--client-speed"), "{args}");
+            }
+            assert!(parse_churn(&format!("60,{v}")).is_err(), "--churn mttr {v}");
+            assert!(
+                parse_fail(&format!("3@2:{v}")).is_err(),
+                "--fail up time {v}"
+            );
+        }
+        // The caps themselves are accepted.
+        let o = opts("--duration 1e6 --pps 1e6 --grid 2 --pitch 5e4");
+        assert_eq!((o.duration_s, o.pps, o.pitch), (1e6, 1e6, 5e4));
+        // The field side is capped, not the pitch alone; --nodes sets its
+        // own pitch.
+        assert!(rejected("--grid 20 --pitch 1e5"));
+        assert!(rejected("--grid 20 --pitch 5001"));
+        assert_eq!(opts("--nodes 100 --pitch 1e5").nodes, Some(100));
+    }
+
+    #[test]
+    fn zero_regions_is_rejected() {
+        assert!(rejected("--parmesh --nodes 1000 --regions 0"));
+        assert_eq!(opts("--parmesh --nodes 1000 --regions 1").regions, Some(1));
     }
 
     #[test]
